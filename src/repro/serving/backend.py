@@ -176,24 +176,53 @@ class AnalyticBackend(ExecutionBackend):
 
     Float operation order is identical to the pre-backend engine, so results
     and telemetry traces are bit-identical (pinned by the golden tests).
+
+    The dense, quantization and other-op costs depend only on the step's
+    token count ``m``, so they are computed once per distinct ``m`` and
+    memoized for the bound configuration.  Decode attention is priced from
+    the integer sum of the context lengths, which is exact, so every phase
+    equals the direct kernel calls bit for bit.
     """
 
     name = "analytic"
+
+    def bind(
+        self,
+        spec: ServingModelSpec,
+        scheme: QuantScheme,
+        gpu: GPUSpec,
+        tp: TPConfig | None,
+    ) -> None:
+        super().bind(spec, scheme, gpu, tp)
+        self._degree = tp.degree if tp else 1
+        #: m -> (t_dense, t_quant, t_other)
+        self._per_m: dict[int, tuple[float, float, float]] = {}
+
+    def _m_costs(self, m: int) -> "tuple[float, float, float]":
+        if self._degree > 1:
+            t_dense = tp_dense_layer_time(m, self.spec, self.scheme, self.tp, self.gpu)
+        else:
+            t_dense = dense_layer_time(m, self.spec, self.scheme, self.gpu)
+        t_quant = (
+            quant_fusion_overhead(m, self.spec, self.gpu, fused=True)
+            if self.scheme.a_bits < 16
+            else 0.0
+        )
+        costs = (t_dense, t_quant, other_ops_time(m, self.spec, self.gpu))
+        self._per_m[m] = costs
+        return costs
 
     def execute_step(
         self, prefill: list[PrefillChunk], decode: list[DecodeSlot]
     ) -> StepTiming:
         m = sum(p.chunk for p in prefill) + len(decode)
-        degree = self.tp.degree if self.tp else 1
-        if self.tp and degree > 1:
-            t_dense = tp_dense_layer_time(m, self.spec, self.scheme, self.tp, self.gpu)
-        else:
-            t_dense = dense_layer_time(m, self.spec, self.scheme, self.gpu)
+        t_dense, t_quant, t_other = self._per_m.get(m) or self._m_costs(m)
+        degree = self._degree
         t_attn = 0.0
         if decode:
             # Attention heads shard evenly across the TP group.
             t_attn += attention_decode_time(
-                [d.context_len for d in decode],
+                sum(d.context_len for d in decode),
                 self.spec,
                 self.scheme.kv_bits,
                 self.gpu,
@@ -206,12 +235,6 @@ class AnalyticBackend(ExecutionBackend):
                 kv_bits=self.scheme.kv_bits,
                 prefix_len=p.prefix_len,
             ) / degree
-        t_quant = (
-            quant_fusion_overhead(m, self.spec, self.gpu, fused=True)
-            if self.scheme.a_bits < 16
-            else 0.0
-        )
-        t_other = other_ops_time(m, self.spec, self.gpu)
         return StepTiming(t_dense, t_attn, t_quant, t_other)
 
     def comm_time(self, m: int) -> float:

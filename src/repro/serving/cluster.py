@@ -58,12 +58,14 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.data.sharegpt import TURN_STRIDE
 from repro.serving.engine import ServingResult
 from repro.serving.faults import (
     FaultInjector,
     FaultPlan,
     ReplicaFaultSchedule,
 )
+from repro.serving.prefix_cache import PrefixCacheStats
 from repro.serving.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
@@ -89,11 +91,6 @@ __all__ = [
 
 #: Replica health lattice (see the state machine in ``ClusterRun``).
 REPLICA_STATES = ("healthy", "suspect", "down", "draining")
-
-#: Requests whose ids share ``request_id // TURN_STRIDE`` belong to one
-#: conversation (the ShareGPT multi-round addressing used repo-wide by
-#: ``repro.data.sharegpt`` and ``model_runner.conversation_prompt``).
-TURN_STRIDE = 64
 
 _EMPTY_PLAN = FaultPlan()
 
@@ -802,7 +799,7 @@ class ClusterRun:
             terminal_states=dict(self.terminal),
             backend=engine0.backend.name,
             decode_batch_hist=dict(sorted(Counter(occupancy).items())),
-            prefix_cache=None,
+            prefix_cache=_summed_prefix_stats(cluster.engines),
             failed=counts.get("failed", 0),
             rerouted=self.rerouted_n,
             cluster={
@@ -822,6 +819,19 @@ class ClusterRun:
                 "replicas": replica_payload,
             },
         )
+
+
+def _summed_prefix_stats(engines) -> "dict | None":
+    """The replicas' prefix-cache counters summed, ``hit_rate`` recomputed
+    from the totals; None when no replica has a cache."""
+    caches = [e.prefix_cache for e in engines if e.prefix_cache is not None]
+    if not caches:
+        return None
+    total = PrefixCacheStats()
+    for cache in caches:
+        for name, value in vars(cache.snapshot_stats()).items():
+            setattr(total, name, getattr(total, name) + value)
+    return total.to_dict()
 
 
 # --------------------------------------------------------------------------- #

@@ -193,23 +193,39 @@ class ServingResult:
 
 
 class _Active:
-    """Book-keeping for one in-flight request."""
+    """Book-keeping for one in-flight request.
 
-    __slots__ = ("request", "context_len", "generated", "prefilled")
+    ``prefill_done`` and ``done`` are kept as state, updated by the only
+    two mutators, so the per-step phase scans over ``running`` read plain
+    attributes.
+    """
 
-    def __init__(self, request: Request) -> None:
+    __slots__ = (
+        "request",
+        "context_len",
+        "generated",
+        "prefilled",
+        "prefill_done",
+        "done",
+    )
+
+    def __init__(self, request: Request, prefilled: int = 0) -> None:
         self.request = request
         self.context_len = request.prefill_len
         self.generated = 0
         self.prefilled = 0  # prompt tokens processed so far
+        self.advance_prefill(prefilled)
 
-    @property
-    def prefill_done(self) -> bool:
-        return self.prefilled >= self.request.prefill_len
+    def advance_prefill(self, tokens: int) -> None:
+        self.prefilled += tokens
+        self.prefill_done = self.prefilled >= self.request.prefill_len
+        self.done = self.prefill_done and self.generated >= self.request.decode_len
 
-    @property
-    def done(self) -> bool:
-        return self.prefill_done and self.generated >= self.request.decode_len
+    def emit_token(self) -> None:
+        """One sampled token: generation and the attended context grow."""
+        self.generated += 1
+        self.context_len += 1
+        self.done = self.prefill_done and self.generated >= self.request.decode_len
 
 
 class ServingEngine:
@@ -596,8 +612,9 @@ class EngineRun:
             )
             # Prefix-cache lookup: a hit pins the matched pages (lease) and
             # shrinks the reservation — full pages served out of the tree
-            # are charged to the cache account, not this request.  The
-            # lease must be released on every non-admission path below.
+            # are charged to the cache account, not this request.  Every
+            # non-admission path below releases the request again (its
+            # lease, if any, and the cache's memo of its prompt).
             lease = (
                 cache.acquire(nxt.request_id, nxt.prefill_len)
                 if cache is not None
@@ -612,12 +629,12 @@ class EngineRun:
                     reserve, shared_tokens=shared
                 )
                 if slack_after < len(running) + 1:
-                    if lease is not None:
+                    if cache is not None:
                         cache.release(nxt.request_id)
                     self.memory_limited = bool(running)
                     break
             if self._alloc_blocked():
-                if lease is not None:
+                if cache is not None:
                     cache.release(nxt.request_id)
                 break
             if not alloc.allocate(
@@ -636,7 +653,7 @@ class EngineRun:
                         nxt.request_id, reserve, shared_tokens=shared
                     )
                 ):
-                    if lease is not None:
+                    if cache is not None:
                         cache.release(nxt.request_id)
                     self.memory_limited = True
                     break
@@ -650,13 +667,10 @@ class EngineRun:
                     else alloc.pages_for(reserve),
                 )
             pending.popleft()
-            act = _Active(nxt)
-            if lease is not None:
-                # Prefill resumes at the matched token: the lease's pages
-                # already hold KV for [0, kv_tokens), so only the remainder
-                # of the prompt runs through the model.
-                act.prefilled = lease.kv_tokens
-            running.append(act)
+            # Prefill resumes at the matched token: the lease's pages
+            # already hold KV for [0, kv_tokens), so only the remainder of
+            # the prompt runs through the model.
+            running.append(_Active(nxt, shared))
             if lease is not None:
                 engine.backend.on_admit(nxt, lease=lease)
             else:
@@ -843,13 +857,12 @@ class EngineRun:
             self.latencies.append((t_iter, decode_batch))
             self.occupancy.append(decode_batch)
         for a in decoding:
-            a.generated += 1
-            a.context_len += 1
+            a.emit_token()
         # Advance prefill progress; a request whose prompt completes in
         # THIS iteration emits its first token (the prefill pass
         # produces one logit), then joins decode next iteration.
         for a, chunk in chunks:
-            a.prefilled += chunk
+            a.advance_prefill(chunk)
             if a.prefill_done:
                 if cache is not None:
                     # The full prompt pages now hold final KV: hand them to
@@ -859,8 +872,7 @@ class EngineRun:
                     cache.intern_prefill(
                         a.request.request_id, a.request.prefill_len
                     )
-                a.generated += 1
-                a.context_len += 1
+                a.emit_token()
                 self.decode_tokens += 1
                 self.ttfts.append(self.clock)
                 self.first_token_s.setdefault(

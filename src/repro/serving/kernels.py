@@ -94,7 +94,7 @@ def dense_layer_time(
 
 
 def attention_decode_time(
-    context_lens: "np.ndarray | list[int]",
+    context_lens: "np.ndarray | list[int] | int",
     spec: ServingModelSpec,
     kv_bits: int,
     gpu: GPUSpec = RTX_4090,
@@ -103,9 +103,14 @@ def attention_decode_time(
 
     Decode attention is memory-bound on the KV-cache (§3): each request
     streams its own ``context`` tokens of KV (no cross-request reuse), plus
-    the bit-independent overhead traffic.
+    the bit-independent overhead traffic.  ``context_lens`` may also be the
+    batch's total context as one integer; integer sums below 2**53 are
+    exact, so both forms price identically.
     """
-    total_ctx = float(np.sum(np.asarray(context_lens, dtype=np.float64)))
+    if isinstance(context_lens, (int, np.integer)):
+        total_ctx = float(context_lens)
+    else:
+        total_ctx = float(np.sum(np.asarray(context_lens, dtype=np.float64)))
     kv_elements = 2.0 * spec.n_layers * spec.kv_dim * total_ctx
     effective_bits = kv_bits + ATTN_OVERHEAD_BIT_EQUIV
     bytes_moved = kv_elements * effective_bits / 8.0

@@ -11,10 +11,11 @@ numeric backend.
 Structure
 ---------
 
-- Each :class:`_Node` owns an *edge* of token ids (``key``) plus, per model
-  layer, the physical page ids whose slots hold the KV for that span.  No
-  two siblings start with the same token (the radix invariant), so lookup
-  is a single root-to-leaf walk.
+- Each :class:`_Node` owns an *edge* of token ids (``key``, an int64
+  array) plus, per model layer, the physical page ids whose slots hold the
+  KV for that span.  No two siblings start with the same token (the radix
+  invariant), so lookup is a single root-to-leaf walk, and each edge is
+  compared against the query in one vectorized pass.
 - Nodes hold *references* on their pages (``PagedKVStore`` refcounts — or a
   :class:`CountingPageSource` for the analytic backend, which has no
   physical storage).  A span may start mid-page; the physical page holding
@@ -24,7 +25,12 @@ Structure
 - ``refcount`` counts *live readers*: requests currently holding a
   :class:`PrefixLease` over a path through the node.  Eviction (LRU over
   leaves) only ever frees nodes with zero readers and no children, so a
-  leased page can never be reclaimed mid-decode.
+  leased page can never be reclaimed mid-decode.  The eligible leaves are
+  kept in a min-heap on ``last_used`` with lazy invalidation, so each
+  victim costs O(log n) instead of a scan of the whole tree.
+- Each live request's prompt is derived once, at :meth:`PrefixCache.acquire`,
+  and shared by the later lookups and interns of that request; the memo
+  entry is dropped by :meth:`PrefixCache.release`.
 
 Copy-on-write is the borrower's job: a request's
 :class:`~repro.serving.paged_kv.PagedKVCache` seeded with leased pages
@@ -50,6 +56,7 @@ conservation still audits to zero.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +129,7 @@ class _Node:
 
     def __init__(
         self,
-        key: tuple,
+        key: np.ndarray,
         start: int,
         parent: "_Node | None",
         pages: "list[list[int]]",
@@ -148,6 +155,10 @@ class _Node:
     def n_pages(self) -> int:
         """Logical pages this node accounts for (uniform across layers)."""
         return len(self.pages[0]) if self.pages else 0
+
+
+def _root(n_layers: int) -> _Node:
+    return _Node(np.empty(0, dtype=np.int64), 0, None, [[] for _ in range(n_layers)])
 
 
 @dataclass
@@ -224,8 +235,15 @@ class PrefixCache:
         self._prompt_fn = None  # (rid, prefill_len) -> np.ndarray
         self._tokens_fn = None  # (rid, prefill_len, total_kv) -> np.ndarray
         self._tables_fn = None  # (rid) -> per-layer page tables | None
-        self.root = _Node((), 0, None, [[] for _ in range(1)])
+        self.root = _root(1)
         self._leases: dict[int, PrefixLease] = {}
+        #: request id -> its prompt, from acquire() until release()
+        self._prompts: dict[int, np.ndarray] = {}
+        #: (last_used, push seq, node) for every evictable leaf; entries
+        #: whose node was touched, pinned, extended or evicted since are
+        #: stale and skipped when popped.
+        self._lru: list = []
+        self._pushes = 0
         self._donors: dict[int, list[_Node]] = {}
         self._tick = 0
         self.stats = PrefixCacheStats()
@@ -265,12 +283,15 @@ class PrefixCache:
         self._prompt_fn = prompt_fn
         self._tokens_fn = tokens_fn
         self._tables_fn = tables_fn
-        self.root = _Node((), 0, None, [[] for _ in range(n_layers)])
+        self.root = _root(n_layers)
 
     # ------------------------------------------------------------------ #
     # Token derivations (analytic defaults; numeric overrides via adapter)
     # ------------------------------------------------------------------ #
     def _prompt(self, request_id: int, prefill_len: int) -> np.ndarray:
+        prompt = self._prompts.get(request_id)
+        if prompt is not None and len(prompt) == prefill_len:
+            return prompt
         if self._prompt_fn is not None:
             return self._prompt_fn(request_id, prefill_len)
         from repro.serving.model_runner import conversation_prompt, synthetic_prompt
@@ -305,8 +326,9 @@ class PrefixCache:
     def _touch(self, node: _Node) -> None:
         self._tick += 1
         node.last_used = self._tick
+        self._index(node)
 
-    def _match(self, tokens) -> "tuple[list[_Node], int]":
+    def _match(self, tokens: np.ndarray) -> "tuple[list[_Node], int]":
         """Longest-prefix walk: path of entered nodes + tokens matched."""
         node = self.root
         i = 0
@@ -317,10 +339,9 @@ class PrefixCache:
             if child is None:
                 break
             key = child.key
-            m = 0
             limit = min(len(key), n - i)
-            while m < limit and key[m] == int(tokens[i + m]):
-                m += 1
+            differ = np.flatnonzero(key[:limit] != tokens[i : i + limit])
+            m = int(differ[0]) if differ.size else limit
             path.append(child)
             i += m
             if m < len(key):
@@ -344,6 +365,7 @@ class PrefixCache:
         if request_id in self._leases:
             raise KVAccountingError("allocate", request_id)
         tokens = self._prompt(request_id, prefill_len)
+        self._prompts[request_id] = tokens
         path, matched = self._match(tokens)
         kv = min(matched, prefill_len - 1)
         self.stats.lookups += 1
@@ -356,12 +378,12 @@ class PrefixCache:
                 [-1] * n_pages for _ in range(self.n_layers)
             ]
             for node in path:
+                # Root-first, so a deeper node's boundary page overrides
+                # the parent's copy of the shared index.
                 first = node.start // self.page_size
-                for layer in range(self.n_layers):
-                    for j, pid in enumerate(node.pages[layer]):
-                        idx = first + j
-                        if idx < n_pages:
-                            tables[layer][idx] = pid
+                end = max(first, min(first + node.n_pages(), n_pages))
+                for table, pages in zip(tables, node.pages):
+                    table[first:end] = pages[: end - first]
                 node.refcount += 1
                 self._touch(node)
             lease = PrefixLease(request_id, matched, kv, tables, list(path))
@@ -376,16 +398,20 @@ class PrefixCache:
         return lease
 
     def release(self, request_id: int) -> None:
-        """Unpin a request's lease and end its donorships (idempotent).
+        """Unpin a request's lease, end its donorships and drop its prompt
+        memo (idempotent).
 
         The engine calls this at every terminal/preemption site alongside
-        the allocator free; most requests it releases never held a lease or
-        donated pages.  Ending donorship makes the request's interned nodes
+        the allocator free, and whenever an acquired request is not
+        admitted; most requests it releases never held a lease or donated
+        pages.  Ending donorship makes the request's interned nodes
         eligible for eviction: its page table no longer holds the pages, so
         evicting them now genuinely frees memory.
         """
+        self._prompts.pop(request_id, None)
         for node in self._donors.pop(request_id, ()):
             node.donor = None
+            self._index(node)
         lease = self._leases.pop(request_id, None)
         if lease is None:
             return
@@ -393,6 +419,7 @@ class PrefixCache:
             if node.refcount <= 0:
                 raise KVAccountingError("free_page", request_id)
             node.refcount -= 1
+            self._index(node)
 
     # ------------------------------------------------------------------ #
     # Interning
@@ -460,7 +487,9 @@ class PrefixCache:
             ]
         if self.allocator is not None:
             self.allocator.transfer_to_cache(request_id, count)
-        node = _Node(tuple(int(t) for t in tokens[matched:]), matched, attach, pages)
+        node = _Node(
+            np.array(tokens[matched:], dtype=np.int64), matched, attach, pages
+        )
         node.donor = request_id
         self._donors.setdefault(request_id, []).append(node)
         attach.children[int(tokens[matched])] = node
@@ -497,7 +526,7 @@ class PrefixCache:
             if self.allocator is not None:
                 self.allocator.cache_acquire(1)
             self.stats.interned_pages += 1
-        parent = _Node(node.key[:k], node.start, node.parent, parent_pages)
+        parent = _Node(node.key[:k].copy(), node.start, node.parent, parent_pages)
         parent.refcount = node.refcount
         parent.last_used = node.last_used
         if node.donor is not None:
@@ -506,7 +535,7 @@ class PrefixCache:
             self._donors[node.donor].append(parent)
         parent.children[int(node.key[k])] = node
         node.parent.children[int(node.key[0])] = parent
-        node.key = node.key[k:]
+        node.key = node.key[k:].copy()
         node.start = at
         node.parent = parent
         node.pages = child_pages
@@ -521,7 +550,39 @@ class PrefixCache:
     # ------------------------------------------------------------------ #
     # Eviction
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _is_evictable(node: _Node) -> bool:
+        """An attached leaf with no readers and no live donor (the root has
+        no parent, and evicted nodes are detached)."""
+        return (
+            node.parent is not None
+            and not node.children
+            and node.refcount == 0
+            and node.donor is None
+        )
+
+    def _index(self, node: _Node) -> None:
+        """Enter ``node`` in the LRU heap if it is evictable right now.
+
+        Called wherever a node may have become evictable or changed its
+        ``last_used``.  Stale entries are dropped when popped; the heap is
+        rebuilt from its live entries once they are outnumbered.
+        """
+        if not self._is_evictable(node):
+            return
+        self._pushes += 1
+        heapq.heappush(self._lru, (node.last_used, self._pushes, node))
+        if len(self._lru) > 2 * self.stats.nodes + 64:
+            self._lru[:] = [e for e in self._lru if self._indexes(e)]
+            heapq.heapify(self._lru)
+
+    def _indexes(self, entry) -> bool:
+        """Whether a heap entry still stands for its evictable node."""
+        last_used, _, node = entry
+        return last_used == node.last_used and self._is_evictable(node)
+
     def _evictable(self) -> "list[_Node]":
+        """Every evictable leaf, by a full walk (for clear() and audits)."""
         out = []
         stack = list(self.root.children.values())
         while stack:
@@ -539,7 +600,10 @@ class PrefixCache:
         freed = node.n_pages()
         if self.allocator is not None:
             self.allocator.cache_release(freed)
-        del node.parent.children[int(node.key[0])]
+        parent = node.parent
+        del parent.children[int(node.key[0])]
+        node.parent = None
+        self._index(parent)
         self.stats.evicted_nodes += 1
         self.stats.evicted_pages += freed
         self.stats.nodes -= 1
@@ -549,17 +613,18 @@ class PrefixCache:
         """Free at least ``n_target`` logical pages if possible (LRU leaves).
 
         Only refcount-zero leaves are eligible; evicting a leaf can expose
-        its parent for the next round.  Returns pages actually freed
-        (possibly 0 — everything pinned — or more than asked, since nodes
-        free whole spans).
+        its parent for the next round.  Victims come off the LRU heap in
+        ``last_used`` order — the same ones, in the same order, as taking
+        the least recently used of :meth:`_evictable` each round.  Returns
+        pages actually freed (possibly 0 — everything pinned — or more than
+        asked, since nodes free whole spans).
         """
         freed = 0
-        while freed < n_target:
-            candidates = self._evictable()
-            if not candidates:
-                break
-            victim = min(candidates, key=lambda n: n.last_used)
-            freed += self._evict_node(victim)
+        lru = self._lru
+        while freed < n_target and lru:
+            entry = heapq.heappop(lru)
+            if self._indexes(entry):
+                freed += self._evict_node(entry[2])
         if freed and self.telemetry.enabled:
             self.telemetry.prefix_eviction(freed)
         return freed
@@ -605,7 +670,7 @@ class PrefixCache:
         self.stats.nodes = self.node_count()
         return self.stats
 
-    def check_invariants(self) -> None:
+    def check_invariants(self, live: "set[int] | None" = None) -> None:
         """Structural audit used by the property/chaos tests.
 
         - radix: no two siblings share a first token (by construction of
@@ -616,8 +681,23 @@ class PrefixCache:
         - refcounts: node refcount equals the number of live leases whose
           path includes it;
         - accounting: the allocator's cache account equals the sum of node
-          page counts.
+          page counts;
+        - eviction index: every evictable leaf has a current LRU heap entry;
+        - token memo: with ``live`` (the ids of the requests the caller
+          still runs) given, the memo holds prompts of live requests only.
         """
+        if live is not None and not self._prompts.keys() <= live:
+            raise AssertionError(
+                f"prompt memo holds finished requests "
+                f"{sorted(self._prompts.keys() - live)}"
+            )
+        indexed = {id(e[2]) for e in self._lru if self._indexes(e)}
+        for node in self._evictable():
+            if id(node) not in indexed:
+                raise AssertionError(
+                    f"evictable leaf at token {node.start} missing from the "
+                    "LRU index"
+                )
         pins: dict[int, int] = {}
         for lease in self._leases.values():
             for node in lease.nodes:
@@ -627,7 +707,7 @@ class PrefixCache:
         while stack:
             node = stack.pop()
             if node is not self.root:
-                if not node.key:
+                if not len(node.key):
                     raise AssertionError("empty edge")
                 if node.parent.children.get(int(node.key[0])) is not node:
                     raise AssertionError("child index broken")

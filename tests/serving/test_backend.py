@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.data.sharegpt import ShareGPTWorkload
@@ -32,6 +33,14 @@ from repro.serving import (
     serving_spec_for,
     write_jsonl,
 )
+from repro.serving.kernels import (
+    attention_decode_time,
+    attention_prefill_time,
+    dense_layer_time,
+    other_ops_time,
+    quant_fusion_overhead,
+)
+from repro.serving.parallel import NVLINK, TPConfig, tp_dense_layer_time
 from repro.serving.telemetry import IterationSample
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -224,6 +233,59 @@ class TestAnalyticBackend:
     def test_prefill_chunk_completes_property(self):
         assert PrefillChunk(0, 96, 32, 128).completes
         assert not PrefillChunk(0, 0, 32, 128).completes
+
+
+def _direct_step(prefill, decode, spec, scheme, gpu, tp):
+    """One step priced by calling the kernels directly, phase by phase."""
+    m = sum(p.chunk for p in prefill) + len(decode)
+    degree = tp.degree if tp else 1
+    if degree > 1:
+        t_dense = tp_dense_layer_time(m, spec, scheme, tp, gpu)
+    else:
+        t_dense = dense_layer_time(m, spec, scheme, gpu)
+    t_attn = 0.0
+    if decode:
+        t_attn += attention_decode_time(
+            [d.context_len for d in decode], spec, scheme.kv_bits, gpu
+        ) / degree
+    for p in prefill:
+        t_attn += attention_prefill_time(
+            p.chunk, spec, gpu, kv_bits=scheme.kv_bits, prefix_len=p.prefix_len
+        ) / degree
+    t_quant = (
+        quant_fusion_overhead(m, spec, gpu, fused=True)
+        if scheme.a_bits < 16
+        else 0.0
+    )
+    return (t_dense, t_attn, t_quant, other_ops_time(m, spec, gpu))
+
+
+class TestRooflineMemo:
+    """The per-token-count memo must not change a single bit of any phase."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("scheme", ["Atom-W4A4", "FP16", "W8A8"])
+    def test_execute_step_equals_direct_kernel_calls(self, degree, scheme):
+        tp = TPConfig(degree, NVLINK) if degree > 1 else None
+        backend = AnalyticBackend()
+        backend.bind(LLAMA_7B, SCHEMES[scheme], RTX_4090, tp)
+        rng = np.random.default_rng([degree, len(scheme)])
+        for step in range(300):
+            prefill = [
+                PrefillChunk(i, int(rng.integers(0, 512)), int(rng.integers(1, 64)), 2048)
+                for i in range(int(rng.integers(0, 3)))
+            ]
+            decode = [
+                DecodeSlot(100 + j, int(rng.integers(1, 2048)))
+                for j in range(int(rng.integers(0 if prefill else 1, 24)))
+            ]
+            got = backend.execute_step(prefill, decode)
+            want = _direct_step(
+                prefill, decode, LLAMA_7B, SCHEMES[scheme], RTX_4090, tp
+            )
+            assert (got.t_dense, got.t_attention, got.t_quant, got.t_other) == want, (
+                f"step {step}: memoized timing differs from the kernels"
+            )
 
 
 class TestServingSpecFor:

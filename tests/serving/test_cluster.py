@@ -325,3 +325,81 @@ class TestClusterProtocol:
                     LLAMA_7B, FP16, max_batch=8, shed_policy="drop"
                 ),
             ])
+
+
+class TestClusterPrefixCache:
+    """Per-replica prefix caches behind the affinity router."""
+
+    #: Digest of :meth:`_evicting_cluster`'s request records and per-replica
+    #: cache counters, recorded before the eviction index, the prompt memo
+    #: and the roofline memo went in.  Those are pure speed work: any
+    #: change to this digest is a change in simulated behaviour.
+    GOLDEN_DIGEST = (
+        "b1e99ad36270e341f0cd43faebf8935df35507515dd05a9b0cd71e96a92ba735"
+    )
+
+    @staticmethod
+    def _evicting_cluster():
+        """4 small-memory replicas serving 60 multi-turn conversations:
+        every replica's cache fills up and evicts."""
+        import dataclasses
+
+        from repro.serving import RTX_4090, PrefixCache, sharegpt_interactions
+
+        gpu = dataclasses.replace(RTX_4090, mem_capacity_gb=5.5)
+        engines = [
+            ServingEngine(
+                LLAMA_7B, ATOM_W4A4, gpu=gpu, max_batch=16,
+                shed_policy="drop", prefix_cache=PrefixCache(seed=0),
+            )
+            for _ in range(4)
+        ]
+        interactions = sharegpt_interactions(
+            ShareGPTWorkload(seed=0, max_len=2048), 60,
+            rate=20.0, seed=3, think_mean_s=1.0,
+        )
+        cluster = ClusterEngine(engines, router=make_router("affinity"))
+        return engines, OpenLoopFrontend(cluster, "fcfs").run(interactions)
+
+    def test_evicting_affinity_cluster_matches_golden_digest(self):
+        import hashlib
+        import json
+
+        engines, res = self._evicting_cluster()
+        s = res.serving
+        stats = [e.prefix_cache.snapshot_stats().to_dict() for e in engines]
+        assert all(st["evicted_pages"] > 0 for st in stats)
+        payload = [
+            [(r.request_id, r.state, r.first_token_s, r.finish_s) for r in res.records],
+            stats,
+            s.total_time_s,
+            s.time_breakdown,
+            s.decode_tokens,
+            s.iterations,
+            s.preemptions,
+        ]
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert digest == self.GOLDEN_DIGEST
+
+    def test_result_sums_replica_counters(self):
+        engines, res = self._evicting_cluster()
+        stats = [e.prefix_cache.snapshot_stats().to_dict() for e in engines]
+        total = res.serving.prefix_cache
+        for name in ("lookups", "hits", "kv_tokens", "evicted_pages", "nodes"):
+            assert total[name] == sum(st[name] for st in stats)
+        assert total["hit_rate"] == total["hits"] / total["lookups"]
+
+    def test_one_replica_reports_the_bare_engine_dict(self):
+        from repro.serving import PrefixCache
+
+        def engine():
+            return _engine(prefix_cache=PrefixCache(seed=1))
+
+        requests = ShareGPTWorkload(seed=2, max_len=1024).sample_requests(24)
+        bare = engine().run(requests)
+        clustered = ClusterEngine([engine()]).run(requests)
+        assert bare.prefix_cache["lookups"] == len(requests)
+        assert clustered.prefix_cache == bare.prefix_cache
+
+    def test_no_caches_reports_none(self):
+        assert ClusterEngine([_engine()]).run(_requests(4)).prefix_cache is None

@@ -265,6 +265,144 @@ class TestRadixProperties:
         assert cache.source.live_pages == 0
 
 
+class _RecordingCache(PrefixCache):
+    """Records every evicted node; ``scan=True`` evicts by the full-tree
+    reference rule (least recently used of ``_evictable()``, per victim)."""
+
+    def __init__(self, *, scan: bool = False, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.scan = scan
+        self.victims: list[tuple] = []
+
+    def _evict_node(self, node):
+        self.victims.append((node.start, len(node.key), node.last_used))
+        return super()._evict_node(node)
+
+    def evict_pages(self, n_target: int) -> int:
+        if not self.scan:
+            return super().evict_pages(n_target)
+        freed = 0
+        while freed < n_target:
+            candidates = self._evictable()
+            if not candidates:
+                break
+            freed += self._evict_node(min(candidates, key=lambda n: n.last_used))
+        return freed
+
+
+class TestEvictionIndex:
+    """The LRU heap must pick exactly the victims the full-tree scan picks."""
+
+    @pytest.mark.parametrize("seed", PROPERTY_SEEDS)
+    def test_heap_evicts_like_full_scan(self, seed):
+        rng = np.random.default_rng([seed, 0xE71C])
+        fast = _RecordingCache(seed=seed)
+        ref = _RecordingCache(seed=seed, scan=True)
+        acquired: dict[int, int] = {}  # live rid -> prefill_len
+        next_turn = {cid: 0 for cid in range(4)}
+        for step in range(150):
+            op = rng.random()
+            if op < 0.3 or not acquired:  # acquire a new request
+                cid = int(rng.integers(0, 4))
+                rid = cid * 64 + next_turn[cid] % 64
+                next_turn[cid] += 1
+                if rid in acquired:
+                    continue
+                length = int(rng.integers(2, 200))
+                a = fast.acquire(rid, length)
+                b = ref.acquire(rid, length)
+                assert (a and a.kv_tokens) == (b and b.kv_tokens)
+                acquired[rid] = length
+            elif op < 0.55:  # intern (a divergent tail forces splits)
+                rid = sorted(acquired)[int(rng.integers(0, len(acquired)))]
+                length = acquired[rid]
+                if rng.random() < 0.4:
+                    args = ("intern_prefill", rid, length)
+                else:
+                    args = ("intern_finished", rid, length, length + int(rng.integers(0, 40)))
+                assert getattr(fast, args[0])(*args[1:]) == getattr(ref, args[0])(*args[1:])
+            elif op < 0.75:  # release a request: lease and donorship end
+                rid = sorted(acquired)[int(rng.integers(0, len(acquired)))]
+                del acquired[rid]
+                fast.release(rid)
+                ref.release(rid)
+            elif op < 0.97:
+                n = int(rng.integers(1, 12))
+                assert fast.evict_pages(n) == ref.evict_pages(n)
+            else:
+                assert fast.clear() == ref.clear()
+            assert fast.victims == ref.victims, f"step {step}: victims diverged"
+            assert fast.stats == ref.stats
+            fast.check_invariants(live=set(acquired))
+        for rid in sorted(acquired):
+            fast.release(rid)
+            ref.release(rid)
+        assert fast.evict_pages(10**9) == ref.evict_pages(10**9)
+        assert fast.victims == ref.victims
+        assert fast.node_count() == ref.node_count() == 0
+        assert fast.stats.evicted_pages > 0
+        fast.check_invariants(live=set())
+
+    def test_unindexed_evictable_leaf_fails_the_audit(self):
+        cache = PrefixCache(seed=0)
+        cache.intern_finished(0, 64, 64)
+        cache.release(0)
+        cache.check_invariants()
+        cache._lru.clear()
+        with pytest.raises(AssertionError, match="LRU index"):
+            cache.check_invariants()
+
+    def test_memo_of_a_released_request_fails_the_audit(self):
+        cache = PrefixCache(seed=0)
+        cache.acquire(3, 40)
+        cache.check_invariants(live={3})
+        with pytest.raises(AssertionError, match="prompt memo"):
+            cache.check_invariants(live=set())
+        cache.release(3)
+        cache.check_invariants(live=set())
+
+    @pytest.mark.parametrize("admission", ["reserve", "dynamic"])
+    def test_engine_memo_holds_only_running_requests(self, admission):
+        """Step a memory-tight engine through a pool shrink and a cancel:
+        blocked admissions, preemptions, cancellation, shedding and
+        eviction all release the request, so its memo never outlives it."""
+        import dataclasses
+
+        from repro.serving import RTX_4090, CancelFault
+
+        gpu = dataclasses.replace(RTX_4090, mem_capacity_gb=4.62)
+        cache = PrefixCache(seed=2)
+        engine = ServingEngine(
+            LLAMA_7B, SCHEMES["Atom-W4A4"], gpu=gpu, max_batch=8,
+            admission=admission, shed_policy="drop", prefix_cache=cache,
+        )
+        reqs = [
+            Request(cid * 64 + turn, 60 + 70 * turn, 40 + 90 * (cid % 3))
+            for turn in range(3)
+            for cid in range(6)
+        ]
+        plan = FaultPlan(
+            page_faults=(
+                PagePoolFault(iteration=30, delta_pages=-90),
+                PagePoolFault(iteration=80, delta_pages=90),
+            ),
+            cancellations=(CancelFault(iteration=35, request_id=65),),
+        )
+        run = engine.start_run(reqs, faults=plan)
+        while run.active:
+            run.step()
+            cache.check_invariants(
+                live={a.request.request_id for a in run.running}
+            )
+        result = run.result()
+        assert len(result.terminal_states) == len(reqs)
+        assert result.preemptions > 0 and result.cancelled == 1
+        pc = result.prefix_cache
+        assert pc["lookups"] > len(reqs), "admission must have been blocked"
+        assert pc["hits"] > 0
+        assert result.prefix_cache["evicted_pages"] > 0
+
+
 # --------------------------------------------------------------------------- #
 # 2. Copy-on-write byte safety (physical store)
 # --------------------------------------------------------------------------- #
