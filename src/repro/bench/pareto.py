@@ -56,13 +56,9 @@ _ROOFLINE_SPEC_FOR = {
 def _roofline_tokens_per_s(scheme, spec_name: str, *, requests: int, seed: int):
     from repro.data.sharegpt import ShareGPTWorkload
     from repro.serving import ServingEngine
-    from repro.serving.models import LLAMA_7B, LLAMA_13B, LLAMA_70B
+    from repro.serving.models import SERVING_MODELS
 
-    spec = {
-        "llama-7b": LLAMA_7B,
-        "llama-13b": LLAMA_13B,
-        "llama-70b": LLAMA_70B,
-    }[spec_name]
+    spec = SERVING_MODELS[spec_name]
     reqs = ShareGPTWorkload(seed=seed, max_len=2048).sample_requests(requests)
     engine = ServingEngine(spec, scheme, max_batch=32)
     result = engine.run(reqs)

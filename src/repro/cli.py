@@ -158,6 +158,15 @@ def _prefix_cache_for(args: argparse.Namespace):
     return PrefixCache(seed=args.seed)
 
 
+def _tp_config(args: argparse.Namespace):
+    """The ``--tp``/``--interconnect`` tensor-parallel config (None at 1)."""
+    if args.tp <= 1:
+        return None
+    from repro.serving.parallel import NVLINK, PCIE_4, TPConfig
+
+    return TPConfig(args.tp, NVLINK if args.interconnect == "nvlink" else PCIE_4)
+
+
 def _wrap_cluster(args: argparse.Namespace, build):
     """``build()`` once, or ``--replicas`` times behind a cluster router."""
     if getattr(args, "replicas", 1) <= 1:
@@ -202,10 +211,6 @@ def _cmd_serve_numeric(args: argparse.Namespace) -> int:
     from repro.models.zoo import load_model
     from repro.serving import SCHEMES, NumericBackend
 
-    if args.tp > 1:
-        print("numeric backend does not support tensor parallelism",
-              file=sys.stderr)
-        return 2
     zoo_name = _NUMERIC_ZOO[args.model]
     scheme_names, err = _resolve_numeric_schemes(args.scheme)
     if err:
@@ -318,15 +323,10 @@ def _cmd_serve_open_loop(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.serving import SCHEMES, NumericBackend, OpenLoopFrontend, ServingEngine
-    from repro.serving.models import LLAMA_13B, LLAMA_70B, LLAMA_7B
-    from repro.serving.parallel import NVLINK, PCIE_4, TPConfig
+    from repro.serving.models import SERVING_MODELS
 
     numeric = args.backend == "numeric"
     if numeric:
-        if args.tp > 1:
-            print("numeric backend does not support tensor parallelism",
-                  file=sys.stderr)
-            return 2
         scheme_names, err = _resolve_numeric_schemes(args.scheme)
         if err:
             print(err, file=sys.stderr)
@@ -338,22 +338,14 @@ def _cmd_serve_open_loop(args: argparse.Namespace) -> int:
         max_len = model.config.max_seq_len
         model_name = f"{zoo_name} (numeric backend)"
     else:
-        specs = {
-            "llama-7b": LLAMA_7B,
-            "llama-13b": LLAMA_13B,
-            "llama-70b": LLAMA_70B,
-        }
         scheme_names = (
             [args.scheme] if args.scheme != "all" else list(SCHEMES)
         )
-        spec = specs[args.model]
+        spec = SERVING_MODELS[args.model]
         max_len = 2048
         model_name = f"{spec.name} (analytic backend)"
     interactions = _build_open_loop_interactions(args, max_len)
-    tp = None
-    if args.tp > 1:
-        ic = NVLINK if args.interconnect == "nvlink" else PCIE_4
-        tp = TPConfig(args.tp, ic)
+    tp = _tp_config(args)
     failed = False
     clustered = getattr(args, "replicas", 1) > 1
     for name in scheme_names:
@@ -455,21 +447,19 @@ def _cmd_serve_open_loop(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.data.sharegpt import ShareGPTWorkload
     from repro.serving import SCHEMES, ServingEngine
-    from repro.serving.models import LLAMA_13B, LLAMA_70B, LLAMA_7B
+    from repro.serving.models import SERVING_MODELS
 
-    from repro.serving.parallel import NVLINK, PCIE_4, TPConfig
-
+    if args.backend == "numeric" and args.tp > 1:
+        print("numeric backend does not support tensor parallelism",
+              file=sys.stderr)
+        return 2
     if args.open_loop:
         return _cmd_serve_open_loop(args)
     if args.backend == "numeric":
         return _cmd_serve_numeric(args)
 
-    specs = {"llama-7b": LLAMA_7B, "llama-13b": LLAMA_13B, "llama-70b": LLAMA_70B}
-    spec = specs[args.model]
-    tp = None
-    if args.tp > 1:
-        ic = NVLINK if args.interconnect == "nvlink" else PCIE_4
-        tp = TPConfig(args.tp, ic)
+    spec = SERVING_MODELS[args.model]
+    tp = _tp_config(args)
     schemes = (
         [SCHEMES[args.scheme]] if args.scheme != "all" else list(SCHEMES.values())
     )
@@ -530,16 +520,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.data.sharegpt import ShareGPTWorkload
     from repro.serving import SCHEMES, ServingEngine, TraceRecorder
     from repro.serving.faults import FaultPlan
-    from repro.serving.models import LLAMA_13B, LLAMA_70B, LLAMA_7B
-    from repro.serving.parallel import NVLINK, PCIE_4, TPConfig
+    from repro.serving.models import SERVING_MODELS
     from repro.serving.telemetry import write_csv, write_jsonl
 
-    specs = {"llama-7b": LLAMA_7B, "llama-13b": LLAMA_13B, "llama-70b": LLAMA_70B}
-    spec = specs[args.model]
-    tp = None
-    if args.tp > 1:
-        ic = NVLINK if args.interconnect == "nvlink" else PCIE_4
-        tp = TPConfig(args.tp, ic)
+    spec = SERVING_MODELS[args.model]
+    tp = _tp_config(args)
     reqs = ShareGPTWorkload(seed=args.seed, max_len=2048).sample_requests(
         args.requests
     )
@@ -556,7 +541,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         degrade_kwargs["shed_policy"] = "drop"
     recorder = TraceRecorder()
     engine = ServingEngine(
-        specs[args.model],
+        spec,
         SCHEMES[args.scheme],
         max_batch=args.batch,
         admission=args.admission,

@@ -43,10 +43,11 @@ numerically guarded):
   than silently propagated.  ``strict=True`` (or
   ``ATOM_REPRO_STRICT_GUARDS=1``) raises typed
   :class:`~repro.quant.guards.NumericalError` on non-finite data instead.
-- A telemetry sink with a ``pipeline_stage`` hook (e.g.
-  :class:`~repro.serving.telemetry.TraceRecorder`) receives typed
-  pipeline-stage events (``layer_start`` / ``layer_quantized`` /
-  ``checkpoint_saved`` / ``checkpoint_resume`` / ``pipeline_done``).
+- A telemetry sink with an ``emit(event_cls, **fields)`` method (e.g.
+  :class:`~repro.serving.telemetry.TraceRecorder`) receives one
+  :class:`~repro.serving.telemetry.PipelineStage` event per stage
+  (``layer_start`` / ``layer_quantized`` / ``checkpoint_saved`` /
+  ``checkpoint_resume`` / ``pipeline_done``).
 """
 
 from __future__ import annotations
@@ -76,7 +77,13 @@ __all__ = ["AtomQuantizer", "QuantizationReport"]
 def _stage(telemetry, stage: str, layer: int, *, value: float = 0.0, detail: str = "") -> None:
     """Emit one pipeline-stage event to a duck-typed telemetry sink."""
     if telemetry is not None:
-        telemetry.pipeline_stage(stage, layer=layer, detail=detail, value=value)
+        # Imported here so that importing repro.core does not load the
+        # whole serving package.
+        from repro.serving.telemetry import PipelineStage
+
+        telemetry.emit(
+            PipelineStage, stage=stage, layer=layer, detail=detail, value=value
+        )
 
 
 @dataclass
@@ -368,7 +375,7 @@ class AtomQuantizer:
         layer with bit-identical results.  Mismatched or corrupt checkpoint
         directories raise :class:`CheckpointError` unless
         ``force_restart=True`` discards them first.  ``telemetry`` (any sink
-        with a ``pipeline_stage`` hook) receives per-layer stage events.
+        with an ``emit`` method) receives per-layer stage events.
         """
         cfg = self.config
         self.health = QuantHealthReport(strict=self.strict)

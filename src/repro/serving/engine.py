@@ -82,6 +82,14 @@ from repro.serving.parallel import TPConfig, validate_shardable
 from repro.serving.schemes import QuantScheme
 from repro.serving.telemetry import (
     NULL_TELEMETRY,
+    FaultInjected,
+    IterationSample,
+    RequestAdmitted,
+    RequestCancelled,
+    RequestFinished,
+    RequestPreempted,
+    RequestShed,
+    RequestTimedOut,
     SLOSummary,
     Telemetry,
     weighted_mean,
@@ -463,8 +471,11 @@ class EngineRun:
     def _shed(self, request_id: int, pages_required: int) -> None:
         self._terminal(request_id, "shed")
         self.shed_n += 1
-        self.engine.telemetry.request_shed(
-            request_id, pages_required, self.engine._allocator.total_pages
+        self.engine.telemetry.emit(
+            RequestShed,
+            request_id=request_id,
+            pages_required=pages_required,
+            pages_total=self.engine._allocator.total_pages,
         )
 
     def _pick_victim(self, candidates) -> "_Active | None":
@@ -512,7 +523,9 @@ class EngineRun:
                 blocked = False
                 break
         engine.telemetry.set_clock(self.clock)
-        engine.telemetry.fault_injected("alloc_fail", float(retries))
+        engine.telemetry.emit(
+            FaultInjected, kind="alloc_fail", value=float(retries)
+        )
         return blocked
 
     # ------------------------------------------------------------------ #
@@ -534,7 +547,9 @@ class EngineRun:
                 applied = alloc.resize(delta)
                 if applied:
                     self.faults_injected += 1
-                    tel.fault_injected("page_shrink", float(applied))
+                    tel.emit(
+                        FaultInjected, kind="page_shrink", value=float(applied)
+                    )
                 # A shrink below live usage evicts the newest requests
                 # until accounting is consistent (recompute-on-resume) —
                 # after reclaiming unpinned prefix-cache pages first:
@@ -550,7 +565,9 @@ class EngineRun:
                         cache.release(vrid)
                     freed = alloc.free(vrid)
                     engine.backend.on_release(vrid, "preempted")
-                    tel.request_preempted(vrid, freed)
+                    tel.emit(
+                        RequestPreempted, request_id=vrid, pages_freed=freed
+                    )
                     pending.appendleft(victim.request)
                     self.preemptions += 1
                     self.memory_limited = True
@@ -567,7 +584,9 @@ class EngineRun:
                     engine.backend.on_release(rid, "cancelled")
                     self._terminal(rid, "cancelled")
                     self.cancelled_n += 1
-                    tel.request_cancelled(rid, freed)
+                    tel.emit(
+                        RequestCancelled, request_id=rid, pages_freed=freed
+                    )
                     continue
                 queued = next(
                     (r for r in pending if r.request_id == rid), None
@@ -576,7 +595,7 @@ class EngineRun:
                     pending.remove(queued)
                     self._terminal(rid, "cancelled")
                     self.cancelled_n += 1
-                    tel.request_cancelled(rid, 0)
+                    tel.emit(RequestCancelled, request_id=rid, pages_freed=0)
 
         # --- Deadline sweep: queued or in-flight requests past their
         # deadline reach the timed_out terminal state.
@@ -591,13 +610,17 @@ class EngineRun:
                     engine.backend.on_release(rid, "timed_out")
                     self._terminal(rid, "timed_out")
                     self.timed_out_n += 1
-                    tel.request_timed_out(rid, freed)
+                    tel.emit(
+                        RequestTimedOut, request_id=rid, pages_freed=freed
+                    )
             for r in [x for x in pending]:
                 if self.clock > engine._deadline_for(r.request_id):
                     pending.remove(r)
                     self._terminal(r.request_id, "timed_out")
                     self.timed_out_n += 1
-                    tel.request_timed_out(r.request_id, 0)
+                    tel.emit(
+                        RequestTimedOut, request_id=r.request_id, pages_freed=0
+                    )
 
         if not pending and not running:
             return  # cancellations/deadlines drained everything
@@ -658,13 +681,16 @@ class EngineRun:
                     self.memory_limited = True
                     break
             if tel.enabled:
-                tel.request_admitted(
-                    nxt.request_id,
-                    nxt.prefill_len,
-                    nxt.decode_len,
-                    alloc.pages_needed(reserve, shared_tokens=shared)
-                    if lease is not None
-                    else alloc.pages_for(reserve),
+                tel.emit(
+                    RequestAdmitted,
+                    request_id=nxt.request_id,
+                    prefill_len=nxt.prefill_len,
+                    decode_len=nxt.decode_len,
+                    pages=(
+                        alloc.pages_needed(reserve, shared_tokens=shared)
+                        if lease is not None
+                        else alloc.pages_for(reserve)
+                    ),
                 )
             pending.popleft()
             # Prefill resumes at the matched token: the lease's pages
@@ -780,7 +806,9 @@ class EngineRun:
                         cache.release(vrid)
                     freed = alloc.free(vrid)
                     engine.backend.on_release(vrid, "preempted")
-                    tel.request_preempted(vrid, freed)
+                    tel.emit(
+                        RequestPreempted, request_id=vrid, pages_freed=freed
+                    )
                     pending.appendleft(victim.request)
                     preempted.add(vrid)
                     self.preemptions += 1
@@ -842,7 +870,7 @@ class EngineRun:
             if factor != 1.0:
                 timing.scale(factor)
                 self.faults_injected += 1
-                tel.fault_injected("straggler", factor)
+                tel.emit(FaultInjected, kind="straggler", value=factor)
         t_iter = timing.total
         self.breakdown["dense"] += timing.t_dense
         self.breakdown["attention"] += timing.t_attention
@@ -898,7 +926,11 @@ class EngineRun:
                     cache.release(a.request.request_id)
                 freed = alloc.free(a.request.request_id)
                 engine.backend.on_release(a.request.request_id, "finished")
-                tel.request_finished(a.request.request_id, freed)
+                tel.emit(
+                    RequestFinished,
+                    request_id=a.request.request_id,
+                    pages_freed=freed,
+                )
                 self._terminal(a.request.request_id, "finished")
                 self.completed += 1
                 self.delivered_tokens += a.request.decode_len
@@ -907,7 +939,8 @@ class EngineRun:
         self.running = still
 
         if tel.enabled:
-            tel.iteration_sample(
+            tel.emit(
+                IterationSample,
                 prefill_tokens=prefill_tokens,
                 decode_batch=decode_batch,
                 running=batch_now,

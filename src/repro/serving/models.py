@@ -19,6 +19,7 @@ __all__ = [
     "LLAMA_7B",
     "LLAMA_13B",
     "LLAMA_70B",
+    "SERVING_MODELS",
 ]
 
 
@@ -100,3 +101,10 @@ LLAMA_13B = ServingModelSpec(
 LLAMA_70B = ServingModelSpec(
     "Llama-70B", dim=8192, n_layers=80, n_heads=64, n_kv_heads=8, ffn_dim=28672
 )
+
+#: ``--model`` name -> full-size shape (CLI and benches).
+SERVING_MODELS: dict[str, ServingModelSpec] = {
+    "llama-7b": LLAMA_7B,
+    "llama-13b": LLAMA_13B,
+    "llama-70b": LLAMA_70B,
+}

@@ -62,7 +62,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serving.paged_kv import KVAccountingError, PagedKVAllocator
-from repro.serving.telemetry import NULL_TELEMETRY, Telemetry
+from repro.serving.telemetry import (
+    NULL_TELEMETRY,
+    PrefixCacheSample,
+    PrefixEviction,
+    Telemetry,
+)
 
 __all__ = [
     "CountingPageSource",
@@ -392,8 +397,13 @@ class PrefixCache:
             self.stats.kv_tokens += kv
             pages_borrowed = n_pages
         if self.telemetry.enabled:
-            self.telemetry.prefix_cache_sample(
-                request_id, prefill_len, matched, kv, pages_borrowed
+            self.telemetry.emit(
+                PrefixCacheSample,
+                request_id=request_id,
+                prefill_len=prefill_len,
+                matched_tokens=matched,
+                kv_tokens=kv,
+                pages_borrowed=pages_borrowed,
             )
         return lease
 
@@ -626,7 +636,7 @@ class PrefixCache:
             if self._indexes(entry):
                 freed += self._evict_node(entry[2])
         if freed and self.telemetry.enabled:
-            self.telemetry.prefix_eviction(freed)
+            self.telemetry.emit(PrefixEviction, pages_freed=freed)
         return freed
 
     def clear(self) -> int:

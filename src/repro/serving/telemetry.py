@@ -10,13 +10,17 @@ can be observed, exported, and regression-tested.
 
 Design:
 
-- :class:`Telemetry` is the **null sink**: every hook is a no-op, and it is
-  the default everywhere, so runs without telemetry are bit-identical to a
-  build without this module.
-- :class:`TraceRecorder` overrides the hooks to append **typed events**
-  (request admitted / preempted / finished, page-pool deltas, one
-  :class:`IterationSample` per engine iteration with token counts and
-  per-phase kernel times).
+- Every producer (engine, cluster, paged-KV allocator, prefix cache,
+  execution backends, the offline quantizer) reports through one seam,
+  ``sink.emit(EventClass, **fields)``.  Adding an event type means
+  defining one :class:`TraceEvent` dataclass; nothing else changes.
+- :class:`Telemetry` is the **null sink**: ``emit`` returns at once and
+  builds nothing, and hot paths additionally skip argument preparation
+  behind ``if sink.enabled:``.  It is the default everywhere, so runs
+  without telemetry are bit-identical to a build without this module.
+- :class:`TraceRecorder` appends ``EventClass(t=clock, iteration=i,
+  **fields)``, stamping each event with the simulated clock and engine
+  iteration it last saw through ``begin_iteration`` / ``set_clock``.
 - :func:`summarize` re-aggregates a flat event list into
   :class:`TraceSummary` — per-phase totals that reconcile exactly with
   ``ServingResult.time_breakdown``, and weighted decode-latency percentiles
@@ -25,47 +29,23 @@ Design:
   :func:`read_jsonl`); iteration samples also export to CSV
   (:func:`write_csv`) for spreadsheet/pandas analysis.
 
-Event schema (one JSON object per line, ``event`` field dispatches):
-
-``admitted``    request enters the running batch: ``request_id``,
-                ``prefill_len``, ``decode_len``, ``pages`` reserved.
-``preempted``   dynamic-admission victim: ``request_id``, ``pages_freed``
-                (its whole cache — recompute preemption frees everything).
-``finished``    request completed: ``request_id``, ``pages_freed``.
-``pages``       page-pool delta from the allocator: ``request_id``,
-                ``delta`` (+allocated / -freed pages), ``free_pages`` after.
-``cancelled``   request cancelled by the client / fault plan:
-                ``request_id``, ``pages_freed`` (0 if it was still queued).
-``timed_out``   request exceeded its deadline: ``request_id``,
-                ``pages_freed`` (0 if it was still queued).
-``shed``        request dropped by load shedding — its KV footprint can
-                never fit the pool: ``request_id``, ``pages_required``,
-                ``pages_total``.
-``fault``       one injected fault fired: ``kind`` (``page_shrink`` /
-                ``straggler`` / ``alloc_fail``) and a ``value`` payload
-                (pool delta in pages / slowdown factor / retries consumed).
-``stage``       one offline-pipeline stage event from the quantizer:
-                ``stage`` (``layer_start`` / ``layer_quantized`` /
-                ``checkpoint_saved`` / ``checkpoint_resume`` /
-                ``pipeline_done``), the decoder ``layer`` it refers to, and
-                an optional ``detail`` / ``value`` payload.
-``iteration``   one engine iteration: ``prefill_tokens``, ``decode_batch``,
-                ``running``, ``pending``, per-phase seconds ``t_dense``
-                (includes ``t_comm`` when tensor-parallel), ``t_attention``,
-                ``t_quant``, ``t_other``, their sum ``t_iter``,
-                ``kv_utilization`` and ``free_pages`` at iteration end.
-
-All events carry ``t`` (simulated clock, seconds) and ``iteration`` (the
-engine iteration during which they occurred).
+Event schema: the :class:`TraceEvent` subclasses below *are* the schema.
+Each JSONL line is one event's fields plus an ``event`` tag naming its
+class (``admitted``, ``pages``, ``iteration``, ``routed``, ...); every event
+carries ``t`` (simulated clock, seconds) and ``iteration`` (the engine
+iteration, or the cluster round for cluster-level events, during which it
+occurred).
 
 The same sink doubles as the kernel-phase profiler of the NumPy execution
 engine: an :class:`~repro.core.linear.AtomLinear` with a recorder attached
-(``lin.telemetry = TraceRecorder()``) emits one :class:`IterationSample` per
-call with measured ``t_quant`` (dynamic activation quantization) and
-``t_dense`` (GEMM + dequant epilogue) wall-times — ``repro bench --trace``
-uses this, and :func:`summarize` / :func:`write_jsonl` work on such traces
-unchanged, so quantize-vs-GEMM cost is attributable without separate
-instrumentation.
+(``lin.telemetry = TraceRecorder()``) calls ``sink.iteration_sample(...)``
+once per call with measured ``t_quant`` (dynamic activation quantization)
+and ``t_dense`` (GEMM + dequant epilogue) wall-times.  That one named
+method forwards to ``emit(IterationSample, ...)``; it stays so that
+lightweight kernel-phase collectors can implement just it.  ``repro bench
+--trace`` uses this, and :func:`summarize` / :func:`write_jsonl` work on
+such traces unchanged, so quantize-vs-GEMM cost is attributable without
+separate instrumentation.
 """
 
 from __future__ import annotations
@@ -94,6 +74,8 @@ __all__ = [
     "PipelineStage",
     "IterationSample",
     "BatchedDecodeSample",
+    "PrefixCacheSample",
+    "PrefixEviction",
     "ReplicaStateChange",
     "RequestRouted",
     "RequestRerouted",
@@ -134,6 +116,8 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class RequestAdmitted(TraceEvent):
+    """Request entered the running batch, reserving ``pages``."""
+
     request_id: int = 0
     prefill_len: int = 0
     decode_len: int = 0
@@ -144,6 +128,8 @@ class RequestAdmitted(TraceEvent):
 
 @dataclass(frozen=True)
 class RequestPreempted(TraceEvent):
+    """Preemption victim; recompute preemption frees its whole cache."""
+
     request_id: int = 0
     pages_freed: int = 0
 
@@ -152,6 +138,8 @@ class RequestPreempted(TraceEvent):
 
 @dataclass(frozen=True)
 class RequestFinished(TraceEvent):
+    """Request completed and returned ``pages_freed`` to the pool."""
+
     request_id: int = 0
     pages_freed: int = 0
 
@@ -191,7 +179,13 @@ class RequestShed(TraceEvent):
 
 @dataclass(frozen=True)
 class FaultInjected(TraceEvent):
-    """One injected fault fired (``kind`` names the fault type)."""
+    """One injected fault fired.
+
+    ``kind`` names the fault; ``value`` is its payload: the pool delta in
+    pages (``page_shrink``), the slowdown factor (``straggler`` /
+    ``replica_slow``), the retries consumed (``alloc_fail``) or the replica
+    index (``replica_crash`` / ``replica_flap``).
+    """
 
     kind: str = ""
     value: float = 0.0
@@ -201,7 +195,11 @@ class FaultInjected(TraceEvent):
 
 @dataclass(frozen=True)
 class PipelineStage(TraceEvent):
-    """One offline quantization pipeline stage (layer progress, checkpoints)."""
+    """One offline quantization pipeline stage for decoder ``layer``.
+
+    ``stage`` is ``layer_start`` / ``layer_quantized`` / ``checkpoint_saved``
+    / ``checkpoint_resume`` / ``pipeline_done``.
+    """
 
     stage: str = ""
     layer: int = -1
@@ -372,28 +370,10 @@ class ClusterSample(TraceEvent):
         object.__setattr__(self, "used_pages", tuple(self.used_pages))
 
 
+#: JSONL ``event`` tag -> event class, one entry per :class:`TraceEvent`
+#: subclass, so defining the class is all it takes to add an event type.
 _EVENT_TYPES: dict[str, type[TraceEvent]] = {
-    cls.event: cls  # type: ignore[misc]
-    for cls in (
-        RequestAdmitted,
-        RequestPreempted,
-        RequestFinished,
-        RequestCancelled,
-        RequestTimedOut,
-        RequestShed,
-        FaultInjected,
-        PagePoolDelta,
-        PipelineStage,
-        IterationSample,
-        BatchedDecodeSample,
-        PrefixCacheSample,
-        PrefixEviction,
-        ReplicaStateChange,
-        RequestRouted,
-        RequestRerouted,
-        RequestFailed,
-        ClusterSample,
-    )
+    cls.event: cls for cls in TraceEvent.__subclasses__()  # type: ignore[misc]
 }
 
 
@@ -411,11 +391,11 @@ def event_from_dict(d: dict) -> TraceEvent:
 # Sinks
 # --------------------------------------------------------------------------- #
 class Telemetry:
-    """Null telemetry sink: every hook is a no-op.
+    """Null telemetry sink: :meth:`emit` returns at once.
 
-    This is the engine-wide default; a run with the null sink performs no
-    event construction and produces results bit-identical to a run without
-    any telemetry wiring at all.
+    This is the engine-wide default; a run with the null sink constructs no
+    events and produces results bit-identical to a run without any
+    telemetry wiring at all.
     """
 
     enabled = False
@@ -426,87 +406,13 @@ class Telemetry:
     def set_clock(self, clock: float) -> None:
         pass
 
-    def request_admitted(
-        self, request_id: int, prefill_len: int, decode_len: int, pages: int
-    ) -> None:
-        pass
-
-    def request_preempted(self, request_id: int, pages_freed: int) -> None:
-        pass
-
-    def request_finished(self, request_id: int, pages_freed: int) -> None:
-        pass
-
-    def request_cancelled(self, request_id: int, pages_freed: int) -> None:
-        pass
-
-    def request_timed_out(self, request_id: int, pages_freed: int) -> None:
-        pass
-
-    def request_shed(
-        self, request_id: int, pages_required: int, pages_total: int
-    ) -> None:
-        pass
-
-    def fault_injected(self, kind: str, value: float) -> None:
-        pass
-
-    def page_delta(self, request_id: int, delta: int, free_pages: int) -> None:
-        pass
-
-    def pipeline_stage(
-        self, stage: str, *, layer: int = -1, detail: str = "", value: float = 0.0
-    ) -> None:
-        pass
+    def emit(self, event_cls: "type[TraceEvent]", **fields) -> None:
+        """Record one ``event_cls(**fields)`` stamped with the sink's
+        clock and iteration (a no-op here)."""
 
     def iteration_sample(self, **metrics) -> None:
-        pass
-
-    def batched_decode_sample(
-        self,
-        *,
-        decode_batch: int,
-        batched: bool,
-        t_quant_s: float,
-        t_dense_s: float,
-        t_wall_s: float,
-    ) -> None:
-        pass
-
-    def prefix_cache_sample(
-        self,
-        request_id: int,
-        prefill_len: int,
-        matched_tokens: int,
-        kv_tokens: int,
-        pages_borrowed: int,
-    ) -> None:
-        pass
-
-    def prefix_eviction(self, pages_freed: int) -> None:
-        pass
-
-    # -- cluster-level hooks (driven by ClusterEngine, not the engine) --- #
-    def replica_state(
-        self, replica: int, old: str, new: str, reason: str
-    ) -> None:
-        pass
-
-    def request_routed(self, request_id: int, replica: int) -> None:
-        pass
-
-    def request_rerouted(
-        self, request_id: int, from_replica: int, retries: int
-    ) -> None:
-        pass
-
-    def request_failed(self, request_id: int, retries: int) -> None:
-        pass
-
-    def cluster_sample(
-        self, *, pending: int, states, running, used_pages
-    ) -> None:
-        pass
+        """AtomLinear's kernel-phase sink contract."""
+        self.emit(IterationSample, **metrics)
 
 
 #: Shared process-wide null sink (stateless, safe to share).
@@ -523,7 +429,6 @@ class TraceRecorder(Telemetry):
         self._iteration = 0
         self._clock = 0.0
 
-    # -- clock / iteration context (driven by the engine) -------------- #
     def begin_iteration(self, iteration: int, clock: float) -> None:
         self._iteration = iteration
         self._clock = clock
@@ -531,224 +436,9 @@ class TraceRecorder(Telemetry):
     def set_clock(self, clock: float) -> None:
         self._clock = clock
 
-    # -- event hooks ---------------------------------------------------- #
-    def request_admitted(
-        self, request_id: int, prefill_len: int, decode_len: int, pages: int
-    ) -> None:
+    def emit(self, event_cls: "type[TraceEvent]", **fields) -> None:
         self.events.append(
-            RequestAdmitted(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                prefill_len=prefill_len,
-                decode_len=decode_len,
-                pages=pages,
-            )
-        )
-
-    def request_preempted(self, request_id: int, pages_freed: int) -> None:
-        self.events.append(
-            RequestPreempted(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_freed=pages_freed,
-            )
-        )
-
-    def request_finished(self, request_id: int, pages_freed: int) -> None:
-        self.events.append(
-            RequestFinished(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_freed=pages_freed,
-            )
-        )
-
-    def request_cancelled(self, request_id: int, pages_freed: int) -> None:
-        self.events.append(
-            RequestCancelled(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_freed=pages_freed,
-            )
-        )
-
-    def request_timed_out(self, request_id: int, pages_freed: int) -> None:
-        self.events.append(
-            RequestTimedOut(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_freed=pages_freed,
-            )
-        )
-
-    def request_shed(
-        self, request_id: int, pages_required: int, pages_total: int
-    ) -> None:
-        self.events.append(
-            RequestShed(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_required=pages_required,
-                pages_total=pages_total,
-            )
-        )
-
-    def fault_injected(self, kind: str, value: float) -> None:
-        self.events.append(
-            FaultInjected(
-                t=self._clock,
-                iteration=self._iteration,
-                kind=kind,
-                value=value,
-            )
-        )
-
-    def page_delta(self, request_id: int, delta: int, free_pages: int) -> None:
-        self.events.append(
-            PagePoolDelta(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                delta=delta,
-                free_pages=free_pages,
-            )
-        )
-
-    def pipeline_stage(
-        self, stage: str, *, layer: int = -1, detail: str = "", value: float = 0.0
-    ) -> None:
-        self.events.append(
-            PipelineStage(
-                t=self._clock,
-                iteration=self._iteration,
-                stage=stage,
-                layer=layer,
-                detail=detail,
-                value=value,
-            )
-        )
-
-    def iteration_sample(self, **metrics) -> None:
-        self.events.append(
-            IterationSample(t=self._clock, iteration=self._iteration, **metrics)
-        )
-
-    def batched_decode_sample(
-        self,
-        *,
-        decode_batch: int,
-        batched: bool,
-        t_quant_s: float,
-        t_dense_s: float,
-        t_wall_s: float,
-    ) -> None:
-        self.events.append(
-            BatchedDecodeSample(
-                t=self._clock,
-                iteration=self._iteration,
-                decode_batch=decode_batch,
-                batched=batched,
-                t_quant_s=t_quant_s,
-                t_dense_s=t_dense_s,
-                t_wall_s=t_wall_s,
-            )
-        )
-
-    def prefix_cache_sample(
-        self,
-        request_id: int,
-        prefill_len: int,
-        matched_tokens: int,
-        kv_tokens: int,
-        pages_borrowed: int,
-    ) -> None:
-        self.events.append(
-            PrefixCacheSample(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                prefill_len=prefill_len,
-                matched_tokens=matched_tokens,
-                kv_tokens=kv_tokens,
-                pages_borrowed=pages_borrowed,
-            )
-        )
-
-    def prefix_eviction(self, pages_freed: int) -> None:
-        self.events.append(
-            PrefixEviction(
-                t=self._clock,
-                iteration=self._iteration,
-                pages_freed=pages_freed,
-            )
-        )
-
-    # -- cluster-level hooks --------------------------------------------- #
-    def replica_state(
-        self, replica: int, old: str, new: str, reason: str
-    ) -> None:
-        self.events.append(
-            ReplicaStateChange(
-                t=self._clock,
-                iteration=self._iteration,
-                replica=replica,
-                old=old,
-                new=new,
-                reason=reason,
-            )
-        )
-
-    def request_routed(self, request_id: int, replica: int) -> None:
-        self.events.append(
-            RequestRouted(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                replica=replica,
-            )
-        )
-
-    def request_rerouted(
-        self, request_id: int, from_replica: int, retries: int
-    ) -> None:
-        self.events.append(
-            RequestRerouted(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                from_replica=from_replica,
-                retries=retries,
-            )
-        )
-
-    def request_failed(self, request_id: int, retries: int) -> None:
-        self.events.append(
-            RequestFailed(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                retries=retries,
-            )
-        )
-
-    def cluster_sample(
-        self, *, pending: int, states, running, used_pages
-    ) -> None:
-        self.events.append(
-            ClusterSample(
-                t=self._clock,
-                iteration=self._iteration,
-                pending=pending,
-                states=tuple(states),
-                running=tuple(running),
-                used_pages=tuple(used_pages),
-            )
+            event_cls(t=self._clock, iteration=self._iteration, **fields)
         )
 
     # -- convenience ----------------------------------------------------- #

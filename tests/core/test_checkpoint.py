@@ -55,7 +55,7 @@ class CrashAfterSave:
     def __init__(self, layer: int) -> None:
         self.layer = layer
 
-    def pipeline_stage(self, stage, *, layer=-1, detail="", value=0.0):
+    def emit(self, event_cls, *, stage, layer=-1, **_):
         if stage == "checkpoint_saved" and layer == self.layer:
             raise RuntimeError("injected crash")
 
@@ -64,7 +64,7 @@ class StageLog:
     def __init__(self) -> None:
         self.stages: list[tuple[str, int]] = []
 
-    def pipeline_stage(self, stage, *, layer=-1, detail="", value=0.0):
+    def emit(self, event_cls, *, stage, layer=-1, **_):
         self.stages.append((stage, layer))
 
 

@@ -21,7 +21,9 @@ from repro.serving.telemetry import (
     RequestFinished,
     RequestPreempted,
     Telemetry,
+    TraceEvent,
     TraceRecorder,
+    _EVENT_TYPES,
     event_from_dict,
     read_jsonl,
     summarize,
@@ -74,10 +76,32 @@ class TestNullSink:
     def test_null_sink_records_nothing(self):
         tel = Telemetry()
         tel.begin_iteration(0, 0.0)
-        tel.request_admitted(1, 2, 3, 4)
+        tel.emit(
+            RequestAdmitted, request_id=1, prefill_len=2, decode_len=3, pages=4
+        )
         tel.iteration_sample(decode_batch=1)
         assert not tel.enabled
         assert not hasattr(tel, "events")
+
+    def test_null_sink_never_builds_the_event(self):
+        class Unbuildable:
+            def __init__(self, **fields):
+                raise AssertionError("the null sink constructed an event")
+
+        for tel in (Telemetry(), NULL_TELEMETRY):
+            tel.emit(Unbuildable, request_id=1, pages_freed=2)
+            tel.emit(Unbuildable)
+
+    def test_recorder_stamps_clock_and_iteration(self):
+        rec = TraceRecorder()
+        rec.begin_iteration(3, 1.5)
+        rec.set_clock(2.0)
+        rec.emit(RequestFinished, request_id=9, pages_freed=4)
+        rec.iteration_sample(decode_batch=2)
+        assert rec.events == [
+            RequestFinished(t=2.0, iteration=3, request_id=9, pages_freed=4),
+            IterationSample(t=2.0, iteration=3, decode_batch=2),
+        ]
 
 
 class TestReconciliation:
@@ -252,6 +276,30 @@ class TestRoundTrip:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("iteration,t,prefill_tokens")
         assert len(lines) == 1 + len(recorder.samples())
+
+    def test_every_event_type_round_trips(self):
+        """One instance of every event class, with no field left at its
+        default, survives write_jsonl -> read_jsonl unchanged."""
+        assert set(_EVENT_TYPES.values()) == set(TraceEvent.__subclasses__())
+        sample = {"int": 7, "float": 0.25, "str": "x", "bool": False,
+                  "tuple": ("a", "b")}
+        events = [
+            cls(
+                t=1.5,
+                iteration=4,
+                **{
+                    f.name: sample[f.type]
+                    for f in dataclasses.fields(cls)
+                    if f.init and f.name not in ("t", "iteration")
+                },
+            )
+            for cls in _EVENT_TYPES.values()
+        ]
+        buf = io.StringIO()
+        write_jsonl(events, buf)
+        buf.seek(0)
+        assert read_jsonl(buf) == events
+        assert len(events) == len({e.event for e in events})
 
     def test_unknown_event_type_rejected(self):
         with pytest.raises(ValueError, match="unknown trace event"):
